@@ -467,16 +467,18 @@ impl Lachesis {
                 .into_iter()
                 .filter(|op| op.query == *q)
                 .collect(),
-            Scope::Node(node) => driver
-                .entities()
-                .into_iter()
-                .filter(|op| {
-                    driver
-                        .queries()
-                        .get(op.query)
-                        .is_some_and(|q| q.cell(op.op).node() == *node)
-                })
-                .collect(),
+            Scope::Node(node) => {
+                let queries = driver.queries();
+                driver
+                    .entities()
+                    .into_iter()
+                    .filter(|op| {
+                        queries
+                            .get(op.query)
+                            .is_some_and(|q| q.cell(op.op).node() == *node)
+                    })
+                    .collect()
+            }
         }
     }
 
@@ -587,13 +589,14 @@ impl Lachesis {
                 args,
             });
         }
+        let applied = schedule.iter().collect();
         b.translator.apply(
             kernel,
             driver.as_ref(),
-            &Schedule::Single(schedule.clone()),
+            &Schedule::Single(schedule),
             b.policy.priority_kind(),
         )?;
-        b.last_applied = schedule.iter().collect();
+        b.last_applied = applied;
         Ok(())
     }
 
@@ -687,13 +690,13 @@ impl Lachesis {
                 complete = false;
                 continue;
             }
-            let Ok(info) = kernel.thread_info(tid) else {
+            let (Ok(node), Ok(cgroup)) = (kernel.thread_node(tid), kernel.thread_cgroup(tid)) else {
                 continue;
             };
-            let node_root = kernel.node_root(info.node).ok();
-            if Some(info.cgroup) != node_root && reset_groups.insert(info.cgroup) {
+            let node_root = kernel.node_root(node).ok();
+            if Some(cgroup) != node_root && reset_groups.insert(cgroup) {
                 complete &= kernel
-                    .set_cpu_shares(info.cgroup, simos::DEFAULT_CPU_SHARES)
+                    .set_cpu_shares(cgroup, simos::DEFAULT_CPU_SHARES)
                     .is_ok();
             }
         }

@@ -32,15 +32,13 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
 
-use lachesis_metrics::{
-    EntityValues, FaultPlan, FetchError, MetricName, MetricSource, TimeSeriesStore,
-};
+use lachesis_metrics::{EntityValues, FaultPlan, FetchError, MetricName, MetricSource, TimeSeriesStore};
 use simos::{
     CallbackId, Kernel, Nice, SimDuration, SimTime, ThreadId, TraceEvent, TraceTrack,
 };
-use spe::{metric_path, LogicalGraph, LogicalOpId, PhysOpId, PhysicalGraph, RunningQuery, SpeKind};
+use spe::{LogicalGraph, LogicalOpId, PhysOpId, PhysicalGraph, RunningQuery, SpeKind};
 
-use crate::driver::SpeDriver;
+use crate::driver::{SeriesReader, SpeDriver};
 use crate::entity::OpRef;
 use crate::normalize::{to_nice_in_range, PriorityKind};
 use crate::schedule::Schedule;
@@ -115,8 +113,7 @@ pub struct MirrorDriver {
     label: String,
     kind: SpeKind,
     queries: Vec<MirrorQuery>,
-    store: Rc<RefCell<TimeSeriesStore>>,
-    faults: Option<Rc<RefCell<FaultPlan>>>,
+    reader: SeriesReader,
     fence: Option<RefCell<FenceState>>,
 }
 
@@ -154,8 +151,7 @@ impl MirrorDriver {
             label: label.to_owned(),
             kind,
             queries,
-            store,
-            faults: None,
+            reader: SeriesReader::new(kind, store),
             fence: None,
         }
     }
@@ -167,7 +163,7 @@ impl MirrorDriver {
     /// Rules match this driver's [`source_name`](MetricSource::source_name)
     /// (the `label`).
     pub fn with_faults(mut self, faults: Rc<RefCell<FaultPlan>>) -> Self {
-        self.faults = Some(faults);
+        self.reader.set_faults(faults);
         self
     }
 
@@ -208,19 +204,12 @@ impl MirrorDriver {
     /// The newest sample timestamp over every mirrored metric path, i.e.
     /// the last time the worker was provably alive from this side.
     fn freshest_sample(&self) -> Option<SimTime> {
-        let store = self.store.borrow();
-        let mut freshest = None;
-        for metric in self.kind.exposed_metrics() {
-            for q in &self.queries {
-                for op in 0..q.op_count() {
-                    let path = metric_path(self.kind, q.name(), op, *metric);
-                    if let Some((t, _)) = store.latest(&path) {
-                        freshest = Some(freshest.map_or(t, |f: SimTime| f.max(t)));
-                    }
-                }
-            }
-        }
-        freshest
+        self.reader.freshest(self.address_space())
+    }
+
+    /// `(name, op_count)` of every mirrored query, in address order.
+    fn address_space(&self) -> impl Iterator<Item = (&str, usize)> + Clone {
+        self.queries.iter().map(|q| (q.name(), q.op_count()))
     }
 
     /// The mirrored queries, in address order.
@@ -239,17 +228,7 @@ impl MetricSource<OpRef> for MirrorDriver {
     }
 
     fn fetch(&self, metric: MetricName) -> EntityValues<OpRef> {
-        let store = self.store.borrow();
-        let mut out = EntityValues::new();
-        for (qi, q) in self.queries.iter().enumerate() {
-            for op in 0..q.op_count() {
-                let path = metric_path(self.kind, q.name(), op, metric);
-                if let Some((t, v)) = store.latest(&path) {
-                    out.insert_at(OpRef::new(qi, op), v, t);
-                }
-            }
-        }
-        out
+        self.reader.fetch(self.address_space(), metric)
     }
 
     fn try_fetch(
@@ -257,36 +236,8 @@ impl MetricSource<OpRef> for MirrorDriver {
         metric: MetricName,
         now: SimTime,
     ) -> Result<EntityValues<OpRef>, FetchError> {
-        let Some(faults) = &self.faults else {
-            return Ok(self.fetch(metric));
-        };
-        let mut plan = faults.borrow_mut();
-        let name = &self.label;
-        if plan.fetch_fails(name, now) {
-            return Err(FetchError::new(format!(
-                "injected fetch failure for {name} at {now:?}"
-            )));
-        }
-        let cutoff = plan.fetch_cutoff(name, now);
-        let store = self.store.borrow();
-        let mut out = EntityValues::new();
-        for (qi, q) in self.queries.iter().enumerate() {
-            for op in 0..q.op_count() {
-                let path = metric_path(self.kind, q.name(), op, metric);
-                let point = match cutoff {
-                    Some(t) => store.latest_at(&path, t),
-                    None => store.latest(&path),
-                };
-                let Some((t, v)) = point else { continue };
-                let fault = plan.point_fault(name, now);
-                if fault.drop {
-                    continue;
-                }
-                let v = if fault.nan { f64::NAN } else { v };
-                out.insert_at(OpRef::new(qi, op), v, t);
-            }
-        }
-        Ok(out)
+        self.reader
+            .try_fetch(&self.label, self.address_space(), metric, now)
     }
 }
 
@@ -597,10 +548,13 @@ impl CmdApplier {
             for c in q.cells() {
                 let Some(tid) = c.thread() else { continue };
                 let _ = kernel.set_nice(tid, nice0);
-                let Ok(info) = kernel.thread_info(tid) else { continue };
-                let node_root = kernel.node_root(info.node).ok();
-                if Some(info.cgroup) != node_root && reset_groups.insert(info.cgroup) {
-                    let _ = kernel.set_cpu_shares(info.cgroup, simos::DEFAULT_CPU_SHARES);
+                let (Ok(node), Ok(cgroup)) = (kernel.thread_node(tid), kernel.thread_cgroup(tid))
+                else {
+                    continue;
+                };
+                let node_root = kernel.node_root(node).ok();
+                if Some(cgroup) != node_root && reset_groups.insert(cgroup) {
+                    let _ = kernel.set_cpu_shares(cgroup, simos::DEFAULT_CPU_SHARES);
                 }
             }
         }
@@ -697,7 +651,7 @@ mod tests {
     use super::*;
     use crate::schedule::SinglePrioritySchedule;
     use simos::SimDuration;
-    use spe::{CostModel, EngineConfig, Partitioning, Placement, Role};
+    use spe::{metric_path, CostModel, EngineConfig, Partitioning, Placement, Role};
 
     fn graph(name: &str) -> LogicalGraph {
         let mut b = LogicalGraph::builder(name);

@@ -95,9 +95,10 @@ impl GroupingSchedule {
         self.groups.is_empty()
     }
 
-    /// Builds the degenerate grouping with one group per operator — how a
-    /// single-priority schedule is fed to the cpu.shares translator when
-    /// `nice` runs out of distinct values (paper §6.4).
+    /// Builds the degenerate grouping with one group per operator — how the
+    /// cpu.shares translator applies a single-priority schedule when `nice`
+    /// runs out of distinct values (paper §6.4). The translator caches the
+    /// equivalent plan instead of building this every round.
     pub fn per_operator(schedule: &SinglePrioritySchedule) -> GroupingSchedule {
         let mut g = GroupingSchedule::new();
         for (op, p) in schedule.iter() {

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use simos::{CgroupId, Kernel, KernelError, NodeId};
+use simos::{CgroupId, Kernel, KernelError, NodeId, ThreadId};
 
 use crate::driver::SpeDriver;
 use crate::entity::OpRef;
@@ -175,6 +175,120 @@ fn apply_nice(
     Ok(())
 }
 
+/// The cgroups a translator materializes: one root per node (named
+/// `root_name`, under the node's root cgroup) and one child per group id.
+#[derive(Debug)]
+pub(crate) struct CgroupTree {
+    root_name: String,
+    roots: HashMap<NodeId, CgroupId>,
+    groups: HashMap<NodeId, HashMap<String, CgroupId>>,
+}
+
+impl CgroupTree {
+    pub(crate) fn new(root_name: String) -> CgroupTree {
+        CgroupTree {
+            root_name,
+            roots: HashMap::new(),
+            groups: HashMap::new(),
+        }
+    }
+
+    /// Number of group cgroups created so far, over all nodes.
+    fn len(&self) -> usize {
+        self.groups.values().map(HashMap::len).sum()
+    }
+
+    /// The cgroup of group `gid` on `node`, created (with `shares`, and
+    /// the node's root first if needed) on first use.
+    pub(crate) fn cgroup(
+        &mut self,
+        kernel: &mut Kernel,
+        node: NodeId,
+        gid: &str,
+        shares: u64,
+    ) -> Result<CgroupId, TranslateError> {
+        if let Some(&cg) = self.groups.get(&node).and_then(|g| g.get(gid)) {
+            return Ok(cg);
+        }
+        let root = match self.roots.get(&node) {
+            Some(&r) => r,
+            None => {
+                let node_root = kernel.node_root(node)?;
+                let r = kernel.create_cgroup(node_root, &self.root_name, 1024)?;
+                self.roots.insert(node, r);
+                r
+            }
+        };
+        let cg = kernel.create_cgroup(root, gid, shares)?;
+        self.groups.entry(node).or_default().insert(gid.to_owned(), cg);
+        Ok(cg)
+    }
+}
+
+/// The one-group-per-operator view of a single-priority schedule
+/// ([`GroupingSchedule::per_operator`]), kept across rounds and rebuilt
+/// only when the schedule's operator set changes.
+///
+/// Groups are visited in the lexicographic order of their ids
+/// (`q0/op10` before `q0/op2`), exactly as the `BTreeMap` of a
+/// `GroupingSchedule` iterates them: that order fixes which cgroup is
+/// created first, and so the kernel's cgroup ids, sequence numbers and the
+/// order of `SharesChange`/`Migration` trace events.
+#[derive(Debug, Default)]
+pub(crate) struct PerOperatorPlan {
+    /// The scheduled operators, in schedule order.
+    ops: Vec<OpRef>,
+    /// Positions into `ops`, sorted by group id (`q{query}/op{op}`).
+    order: Vec<usize>,
+    /// Each operator's last resolved `(node, cgroup)`, in schedule order.
+    placed: Vec<Option<(NodeId, CgroupId)>>,
+}
+
+impl PerOperatorPlan {
+    /// Rebuilds the plan if `s` schedules a different operator set, and
+    /// returns the priorities in group-id order.
+    pub(crate) fn refresh(&mut self, s: &SinglePrioritySchedule) -> Vec<f64> {
+        if !self.ops.iter().copied().eq(s.iter().map(|(op, _)| op)) {
+            self.ops = s.iter().map(|(op, _)| op).collect();
+            self.order = (0..self.ops.len()).collect();
+            let ops = &self.ops;
+            self.order.sort_by_cached_key(|&i| ops[i].to_string());
+            self.placed = vec![None; self.ops.len()];
+        }
+        let values = s.values();
+        self.order.iter().map(|&i| values[i]).collect()
+    }
+
+    /// Places the `k`-th operator in group-id order (zip `k` with the
+    /// priorities [`refresh`](PerOperatorPlan::refresh) returned): its
+    /// thread, that thread's node, and its group's cgroup there — the
+    /// cached one while the node is unchanged, else looked up (or created
+    /// with `shares`) in `tree`.
+    pub(crate) fn place(
+        &mut self,
+        tree: &mut CgroupTree,
+        kernel: &mut Kernel,
+        driver: &dyn SpeDriver,
+        k: usize,
+        shares: u64,
+    ) -> Result<(ThreadId, NodeId, CgroupId), TranslateError> {
+        let i = self.order[k];
+        let op = self.ops[i];
+        let tid = driver
+            .thread_of(op)
+            .ok_or(TranslateError::MissingThread(op))?;
+        let node = kernel.thread_node(tid)?;
+        if let Some((n, cg)) = self.placed[i] {
+            if n == node {
+                return Ok((tid, node, cg));
+            }
+        }
+        let cg = tree.cgroup(kernel, node, &op.to_string(), shares)?;
+        self.placed[i] = Some((node, cg));
+        Ok((tid, node, cg))
+    }
+}
+
 /// Applies grouping schedules via cgroup `cpu.shares`.
 ///
 /// Groups are materialized lazily as cgroups under a per-node root (the
@@ -183,17 +297,15 @@ fn apply_nice(
 /// normalized into a shares value. Single-priority schedules degrade to one
 /// group per operator (§6.4's 100-operator setup).
 pub struct CpuSharesTranslator {
-    /// Root cgroup per node under which groups are created.
-    roots: HashMap<NodeId, CgroupId>,
-    groups: HashMap<(NodeId, String), CgroupId>,
+    tree: CgroupTree,
+    plan: PerOperatorPlan,
     shares_range: (u64, u64),
-    label: String,
 }
 
 impl fmt::Debug for CpuSharesTranslator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CpuSharesTranslator")
-            .field("groups", &self.groups.len())
+            .field("groups", &self.tree.len())
             .field("shares_range", &self.shares_range)
             .finish_non_exhaustive()
     }
@@ -204,10 +316,9 @@ impl CpuSharesTranslator {
     /// on first use. `label` namespaces this translator's cgroups.
     pub fn new(label: &str) -> Self {
         CpuSharesTranslator {
-            roots: HashMap::new(),
-            groups: HashMap::new(),
+            tree: CgroupTree::new(format!("lachesis-{label}")),
+            plan: PerOperatorPlan::default(),
             shares_range: (205, 2048),
-            label: label.to_owned(),
         }
     }
 
@@ -216,16 +327,6 @@ impl CpuSharesTranslator {
         assert!(lo < hi, "invalid shares range");
         self.shares_range = (lo, hi);
         self
-    }
-
-    fn root_for(&mut self, kernel: &mut Kernel, node: NodeId) -> Result<CgroupId, TranslateError> {
-        if let Some(&r) = self.roots.get(&node) {
-            return Ok(r);
-        }
-        let node_root = kernel.node_root(node)?;
-        let root = kernel.create_cgroup(node_root, &format!("lachesis-{}", self.label), 1024)?;
-        self.roots.insert(node, root);
-        Ok(root)
     }
 
     fn apply_grouped(
@@ -246,20 +347,34 @@ impl CpuSharesTranslator {
                 let tid = driver
                     .thread_of(op)
                     .ok_or(TranslateError::MissingThread(op))?;
-                let node = kernel.thread_info(tid)?.node;
-                let key = (node, gid.to_owned());
-                let cg = match self.groups.get(&key) {
-                    Some(&cg) => cg,
-                    None => {
-                        let root = self.root_for(kernel, node)?;
-                        let cg = kernel.create_cgroup(root, gid, share)?;
-                        self.groups.insert(key, cg);
-                        cg
-                    }
-                };
+                let node = kernel.thread_node(tid)?;
+                let cg = self.tree.cgroup(kernel, node, gid, share)?;
                 kernel.set_cpu_shares(cg, share)?;
                 kernel.move_to_cgroup(tid, cg)?;
             }
+        }
+        Ok(())
+    }
+
+    /// [`apply_grouped`](Self::apply_grouped) on
+    /// `GroupingSchedule::per_operator(s)`, without building it.
+    fn apply_single(
+        &mut self,
+        kernel: &mut Kernel,
+        driver: &dyn SpeDriver,
+        s: &SinglePrioritySchedule,
+        kind: PriorityKind,
+    ) -> Result<(), TranslateError> {
+        if s.is_empty() {
+            return Ok(());
+        }
+        let priorities = self.plan.refresh(s);
+        let (lo, hi) = self.shares_range;
+        let shares = to_shares(&priorities, kind, lo, hi);
+        for (k, share) in shares.into_iter().enumerate() {
+            let (tid, _, cg) = self.plan.place(&mut self.tree, kernel, driver, k, share)?;
+            kernel.set_cpu_shares(cg, share)?;
+            kernel.move_to_cgroup(tid, cg)?;
         }
         Ok(())
     }
@@ -279,10 +394,7 @@ impl Translator for CpuSharesTranslator {
     ) -> Result<(), TranslateError> {
         match schedule {
             Schedule::Grouped(g) => self.apply_grouped(kernel, driver, g, kind),
-            Schedule::Single(s) => {
-                let g = GroupingSchedule::per_operator(s);
-                self.apply_grouped(kernel, driver, &g, kind)
-            }
+            Schedule::Single(s) => self.apply_single(kernel, driver, s, kind),
         }
     }
 }
@@ -353,9 +465,11 @@ mod tests {
     use simos::{FixedWork, Nice, SimDuration};
     use spe::SpeKind;
 
-    /// A driver over real kernel threads but no real queries.
+    /// A driver over real kernel threads but no real queries: operator
+    /// `(q, o)` runs on `threads[q * per_query + o]`.
     struct ThreadDriver {
         threads: Vec<simos::ThreadId>,
+        per_query: usize,
     }
     impl lachesis_metrics::MetricSource<OpRef> for ThreadDriver {
         fn source_name(&self) -> &str {
@@ -382,7 +496,10 @@ mod tests {
             (0..self.threads.len()).map(|o| OpRef::new(0, o)).collect()
         }
         fn thread_of(&self, op: OpRef) -> Option<simos::ThreadId> {
-            self.threads.get(op.op).copied()
+            if op.op >= self.per_query {
+                return None;
+            }
+            self.threads.get(op.query * self.per_query + op.op).copied()
         }
         fn downstream(&self, _op: OpRef) -> Vec<OpRef> {
             vec![]
@@ -412,7 +529,7 @@ mod tests {
                     .build()
             })
             .collect();
-        (kernel, ThreadDriver { threads })
+        (kernel, ThreadDriver { threads, per_query: n })
     }
 
     #[test]
@@ -606,7 +723,7 @@ mod tests {
     #[test]
     fn missing_thread_is_an_error() {
         let (mut kernel, _) = setup(0);
-        let driver = ThreadDriver { threads: vec![] };
+        let driver = ThreadDriver { threads: vec![], per_query: 0 };
         let s: SinglePrioritySchedule = [(OpRef::new(0, 0), 1.0)].into_iter().collect();
         let err = NiceTranslator::new()
             .apply(
@@ -617,5 +734,105 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, TranslateError::MissingThread(OpRef::new(0, 0)));
+    }
+
+    /// `queries × ops` traced threads over two nodes: operator `(q, o)`
+    /// runs on node `(q + o) % 2`.
+    fn grid(queries: usize, ops: usize) -> (Kernel, ThreadDriver) {
+        let mut kernel = Kernel::default();
+        let nodes = [kernel.add_node("a", 2), kernel.add_node("b", 4)];
+        let threads = (0..queries * ops)
+            .map(|i| {
+                let (q, o) = (i / ops, i % ops);
+                kernel
+                    .spawn(
+                        nodes[(q + o) % 2],
+                        &format!("q{q}op{o}"),
+                        FixedWork::endless(SimDuration::from_micros(100)),
+                    )
+                    .build()
+            })
+            .collect();
+        kernel.install_tracing(None);
+        (kernel, ThreadDriver { threads, per_query: ops })
+    }
+
+    /// Rounds of single-priority schedules over 3 queries × 12 operators:
+    /// priorities change, operators drop out and come back.
+    fn churning_rounds() -> Vec<SinglePrioritySchedule> {
+        let all = |salt: usize| -> SinglePrioritySchedule {
+            (0..3)
+                .flat_map(|q| (0..12).map(move |o| (q, o)))
+                .map(|(q, o)| (OpRef::new(q, o), 1.0 + ((q * 7 + o * 13 + salt) % 17) as f64))
+                .collect()
+        };
+        let dropped: SinglePrioritySchedule = all(5)
+            .iter()
+            .filter(|(op, _)| op.query != 1 && *op != OpRef::new(0, 3) && *op != OpRef::new(2, 10))
+            .collect();
+        let only_q2: SinglePrioritySchedule = all(9).iter().filter(|(op, _)| op.query == 2).collect();
+        vec![all(0), all(3), dropped, all(4), only_q2, all(4)]
+    }
+
+    /// Applies every round as a single-priority schedule with one
+    /// translator, and as its [`GroupingSchedule::per_operator`] expansion
+    /// (the path single schedules took before the cached plan) with a
+    /// second translator on a twin kernel. After every round the kernels
+    /// must agree on every cgroup (id, name, shares, quota), every thread's
+    /// cgroup, the whole trace event by event, and the full state dump.
+    fn assert_single_matches_per_operator<T: Translator>(new: impl Fn() -> T, kind: PriorityKind) {
+        let (mut k_single, driver) = grid(3, 12);
+        let (mut k_grouped, _) = grid(3, 12);
+        let (mut single, mut grouped) = (new(), new());
+        for s in churning_rounds() {
+            single
+                .apply(&mut k_single, &driver, &Schedule::Single(s.clone()), kind)
+                .unwrap();
+            let g = GroupingSchedule::per_operator(&s);
+            grouped
+                .apply(&mut k_grouped, &driver, &Schedule::Grouped(g), kind)
+                .unwrap();
+            for k in [&mut k_single, &mut k_grouped] {
+                k.run_for(SimDuration::from_millis(20));
+            }
+            for i in 0.. {
+                let cg = CgroupId::from_u64(i);
+                let (a, b) = (k_single.cgroup_info(cg), k_grouped.cgroup_info(cg));
+                assert_eq!(a, b, "cgroup {cg}");
+                if a.is_err() {
+                    break;
+                }
+            }
+            for &tid in &driver.threads {
+                assert_eq!(k_single.thread_cgroup(tid), k_grouped.thread_cgroup(tid));
+            }
+            let records = |k: &Kernel| -> Vec<simos::TraceRecord> {
+                k.trace_sink().unwrap().borrow().records().cloned().collect()
+            };
+            assert_eq!(records(&k_single), records(&k_grouped));
+            assert_eq!(k_single.debug_dump(), k_grouped.debug_dump());
+        }
+        // Not vacuous: operators were moved into cgroups, and `q0/op10`'s
+        // cgroup was created before `q0/op2`'s (lexicographic, not numeric).
+        let trace = k_single.trace_sink().unwrap().borrow();
+        assert!(trace
+            .records()
+            .any(|r| matches!(r.event, simos::TraceEvent::Migration { .. })));
+        let cgroup_of = |q: usize, o: usize| k_single.thread_cgroup(driver.threads[q * 12 + o]).unwrap();
+        assert!(cgroup_of(0, 10) < cgroup_of(0, 2));
+    }
+
+    #[test]
+    fn single_shares_plan_matches_per_operator_grouping() {
+        for kind in [PriorityKind::Linear, PriorityKind::Logarithmic] {
+            assert_single_matches_per_operator(|| CpuSharesTranslator::new("t"), kind);
+        }
+    }
+
+    #[test]
+    fn single_quota_plan_matches_per_operator_grouping() {
+        for kind in [PriorityKind::Linear, PriorityKind::Logarithmic] {
+            assert_single_matches_per_operator(|| crate::CpuQuotaTranslator::new("t"), kind);
+        }
     }
 }

@@ -5,15 +5,14 @@
 //! here with the same [`Translator`] interface so policies can drive them
 //! unchanged.
 
-use std::collections::HashMap;
 use std::fmt;
 
-use simos::{CgroupId, Kernel, NodeId, SimDuration};
+use simos::{CgroupId, Kernel, NodeId, SimDuration, ThreadId};
 
 use crate::driver::SpeDriver;
 use crate::normalize::{min_max_anchored, PriorityKind};
-use crate::schedule::{GroupingSchedule, Schedule};
-use crate::translate::{TranslateError, Translator};
+use crate::schedule::Schedule;
+use crate::translate::{CgroupTree, PerOperatorPlan, TranslateError, Translator};
 
 /// Applies grouping schedules as cgroup **CPU quotas**: each group may
 /// consume at most a priority-proportional fraction of the machine per
@@ -21,12 +20,11 @@ use crate::translate::{TranslateError, Translator};
 /// are hard caps — useful for multi-tenant isolation where a query must
 /// not exceed its entitlement even when the machine is idle.
 pub struct CpuQuotaTranslator {
-    roots: HashMap<NodeId, CgroupId>,
-    groups: HashMap<(NodeId, String), CgroupId>,
+    tree: CgroupTree,
+    plan: PerOperatorPlan,
     period: SimDuration,
     /// Fraction range the priorities are normalized into.
     frac_range: (f64, f64),
-    label: String,
 }
 
 impl fmt::Debug for CpuQuotaTranslator {
@@ -43,11 +41,10 @@ impl CpuQuotaTranslator {
     /// fractions normalized into `[0.05, 1.0]` of the whole machine.
     pub fn new(label: &str) -> Self {
         CpuQuotaTranslator {
-            roots: HashMap::new(),
-            groups: HashMap::new(),
+            tree: CgroupTree::new(format!("lachesis-quota-{label}")),
+            plan: PerOperatorPlan::default(),
             period: SimDuration::from_millis(100),
             frac_range: (0.05, 1.0),
-            label: label.to_owned(),
         }
     }
 
@@ -72,6 +69,24 @@ impl CpuQuotaTranslator {
         self.frac_range = (lo, hi);
         self
     }
+
+    /// Caps `cg` at `frac` of `node`'s CPUs per period and moves `tid`
+    /// into it.
+    fn cap(
+        &self,
+        kernel: &mut Kernel,
+        tid: ThreadId,
+        node: NodeId,
+        cg: CgroupId,
+        frac: f64,
+    ) -> Result<(), TranslateError> {
+        let cpus = kernel.node_stats(node)?.cpus as f64;
+        let quota =
+            SimDuration::from_secs_f64(self.period.as_secs_f64() * cpus * frac.clamp(0.0, 1.0));
+        kernel.set_cpu_quota(cg, Some((quota, self.period)))?;
+        kernel.move_to_cgroup(tid, cg)?;
+        Ok(())
+    }
 }
 
 impl Translator for CpuQuotaTranslator {
@@ -86,49 +101,34 @@ impl Translator for CpuQuotaTranslator {
         schedule: &Schedule,
         _kind: PriorityKind,
     ) -> Result<(), TranslateError> {
-        let grouping = match schedule {
-            Schedule::Grouped(g) => g.clone(),
-            Schedule::Single(s) => GroupingSchedule::per_operator(s),
-        };
-        if grouping.is_empty() {
-            return Ok(());
-        }
-        let priorities: Vec<f64> = grouping.iter().map(|(_, p, _)| p).collect();
-        let fracs = min_max_anchored(&priorities, self.frac_range.0, self.frac_range.1);
-        for ((gid, _, ops), frac) in grouping.iter().zip(fracs) {
-            for &op in ops {
-                let tid = driver
-                    .thread_of(op)
-                    .ok_or(TranslateError::MissingThread(op))?;
-                let node = kernel.thread_info(tid)?.node;
-                let key = (node, gid.to_owned());
-                let cg = match self.groups.get(&key) {
-                    Some(&cg) => cg,
-                    None => {
-                        let root = match self.roots.get(&node) {
-                            Some(&r) => r,
-                            None => {
-                                let node_root = kernel.node_root(node)?;
-                                let r = kernel.create_cgroup(
-                                    node_root,
-                                    &format!("lachesis-quota-{}", self.label),
-                                    1024,
-                                )?;
-                                self.roots.insert(node, r);
-                                r
-                            }
-                        };
-                        let cg = kernel.create_cgroup(root, gid, 1024)?;
-                        self.groups.insert(key, cg);
-                        cg
+        let (lo, hi) = self.frac_range;
+        match schedule {
+            Schedule::Grouped(g) => {
+                if g.is_empty() {
+                    return Ok(());
+                }
+                let priorities: Vec<f64> = g.iter().map(|(_, p, _)| p).collect();
+                let fracs = min_max_anchored(&priorities, lo, hi);
+                for ((gid, _, ops), frac) in g.iter().zip(fracs) {
+                    for &op in ops {
+                        let tid = driver
+                            .thread_of(op)
+                            .ok_or(TranslateError::MissingThread(op))?;
+                        let node = kernel.thread_node(tid)?;
+                        let cg = self.tree.cgroup(kernel, node, gid, 1024)?;
+                        self.cap(kernel, tid, node, cg, frac)?;
                     }
-                };
-                let cpus = kernel.node_stats(node)?.cpus as f64;
-                let quota = SimDuration::from_secs_f64(
-                    self.period.as_secs_f64() * cpus * frac.clamp(0.0, 1.0),
-                );
-                kernel.set_cpu_quota(cg, Some((quota, self.period)))?;
-                kernel.move_to_cgroup(tid, cg)?;
+                }
+            }
+            Schedule::Single(s) => {
+                if s.is_empty() {
+                    return Ok(());
+                }
+                let fracs = min_max_anchored(&self.plan.refresh(s), lo, hi);
+                for (k, frac) in fracs.into_iter().enumerate() {
+                    let (tid, node, cg) = self.plan.place(&mut self.tree, kernel, driver, k, 1024)?;
+                    self.cap(kernel, tid, node, cg, frac)?;
+                }
             }
         }
         Ok(())
@@ -200,7 +200,7 @@ impl Translator for RealTimeTranslator {
 mod tests {
     use super::*;
     use crate::entity::OpRef;
-    use crate::schedule::SinglePrioritySchedule;
+    use crate::schedule::{GroupingSchedule, SinglePrioritySchedule};
     use simos::{FixedWork, Nice};
     use spe::SpeKind;
 

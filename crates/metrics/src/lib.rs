@@ -31,4 +31,4 @@ mod store;
 pub use fault::{FaultKind, FaultPlan, FaultRule, PointFault};
 pub use metric::{names, ratio_metric, DepValues, EntityValues, MetricDef, MetricName, Sample};
 pub use provider::{FetchError, MetricError, MetricProvider, MetricSource};
-pub use store::TimeSeriesStore;
+pub use store::{SeriesId, TimeSeriesStore};

@@ -8,6 +8,7 @@
 //! data that is up to one resolution interval stale, like real Graphite.
 
 use std::collections::HashMap;
+use std::num::NonZeroU32;
 
 use simos::{SimDuration, SimTime};
 
@@ -28,7 +29,30 @@ use simos::{SimDuration, SimTime};
 #[derive(Debug)]
 pub struct TimeSeriesStore {
     resolution: SimDuration,
-    series: HashMap<String, Series>,
+    /// Metric path → handle of its series.
+    index: HashMap<String, SeriesId>,
+    /// Series in creation order. Never shrinks (`prune` drops points, not
+    /// series), so a [`SeriesId`] stays valid for the store's lifetime.
+    series: Vec<Series>,
+}
+
+/// A handle to one series of a [`TimeSeriesStore`], resolved once from its
+/// metric path with [`TimeSeriesStore::id`] or
+/// [`TimeSeriesStore::id_or_insert`]. Reads and writes through a handle
+/// skip formatting and hashing the path, which is what a reader that
+/// polls the same series every period (a driver) or a writer that reports
+/// them (an SPE) does thousands of times per simulated second.
+///
+/// A handle is only meaningful for the store that issued it. It is a
+/// non-zero `u32`, so a cached `Option<SeriesId>` takes four bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SeriesId(NonZeroU32);
+
+impl SeriesId {
+    /// The series' position in [`TimeSeriesStore`]'s `series`.
+    fn index(self) -> usize {
+        self.0.get() as usize - 1
+    }
 }
 
 #[derive(Debug, Default)]
@@ -47,7 +71,8 @@ impl TimeSeriesStore {
         assert!(!resolution.is_zero(), "store resolution must be > 0");
         TimeSeriesStore {
             resolution,
-            series: HashMap::new(),
+            index: HashMap::new(),
+            series: Vec::new(),
         }
     }
 
@@ -61,10 +86,36 @@ impl TimeSeriesStore {
         SimTime::from_nanos(t.as_nanos() / r * r)
     }
 
+    /// The handle of `key`'s series, if any sample was ever recorded.
+    pub fn id(&self, key: &str) -> Option<SeriesId> {
+        self.index.get(key).copied()
+    }
+
+    /// The handle of `key`'s series, creating an empty series if needed.
+    pub fn id_or_insert(&mut self, key: &str) -> SeriesId {
+        if let Some(id) = self.id(key) {
+            return id;
+        }
+        let n = u32::try_from(self.series.len())
+            .ok()
+            .and_then(|n| NonZeroU32::MIN.checked_add(n))
+            .expect("a store holds fewer than 2^32 series");
+        let id = SeriesId(n);
+        self.series.push(Series::default());
+        self.index.insert(key.to_owned(), id);
+        id
+    }
+
     /// Records a sample; within one bucket, the last write wins.
     pub fn record(&mut self, key: &str, at: SimTime, value: f64) {
+        let id = self.id_or_insert(key);
+        self.record_id(id, at, value);
+    }
+
+    /// [`record`](TimeSeriesStore::record) through a handle.
+    pub fn record_id(&mut self, id: SeriesId, at: SimTime, value: f64) {
         let bucket = self.bucket(at);
-        let series = self.series.entry(key.to_owned()).or_default();
+        let series = &mut self.series[id.index()];
         match series.points.last_mut() {
             Some((t, v)) if *t == bucket => *v = value,
             Some((t, _)) if *t > bucket => {
@@ -79,21 +130,31 @@ impl TimeSeriesStore {
 
     /// The most recent sample for `key`, if any.
     pub fn latest(&self, key: &str) -> Option<(SimTime, f64)> {
-        self.series.get(key)?.points.last().copied()
+        self.latest_id(self.id(key)?)
+    }
+
+    /// [`latest`](TimeSeriesStore::latest) through a handle.
+    pub fn latest_id(&self, id: SeriesId) -> Option<(SimTime, f64)> {
+        self.series[id.index()].points.last().copied()
     }
 
     /// The most recent sample recorded at or before `t`.
     pub fn latest_at(&self, key: &str, t: SimTime) -> Option<(SimTime, f64)> {
-        let points = &self.series.get(key)?.points;
+        self.latest_at_id(self.id(key)?, t)
+    }
+
+    /// [`latest_at`](TimeSeriesStore::latest_at) through a handle.
+    pub fn latest_at_id(&self, id: SeriesId, t: SimTime) -> Option<(SimTime, f64)> {
+        let points = &self.series[id.index()].points;
         let idx = points.partition_point(|(pt, _)| *pt <= t);
         idx.checked_sub(1).map(|i| points[i])
     }
 
     /// All samples in `[from, to)` in time order.
     pub fn range(&self, key: &str, from: SimTime, to: SimTime) -> Vec<(SimTime, f64)> {
-        match self.series.get(key) {
+        match self.id(key) {
             None => Vec::new(),
-            Some(s) => s
+            Some(id) => self.series[id.index()]
                 .points
                 .iter()
                 .filter(|(t, _)| *t >= from && *t < to)
@@ -120,7 +181,7 @@ impl TimeSeriesStore {
     /// All metric paths, sorted (deterministic iteration order for
     /// exporters; the backing map is hash-ordered).
     pub fn keys(&self) -> Vec<&str> {
-        let mut keys: Vec<&str> = self.series.keys().map(String::as_str).collect();
+        let mut keys: Vec<&str> = self.index.keys().map(String::as_str).collect();
         keys.sort_unstable();
         keys
     }
@@ -133,7 +194,7 @@ impl TimeSeriesStore {
     pub fn export_since(&self, since: SimTime) -> Vec<(String, SimTime, f64)> {
         let mut out = Vec::new();
         for key in self.keys() {
-            let points = &self.series[key].points;
+            let points = &self.series[self.index[key].index()].points;
             let idx = points.partition_point(|(t, _)| *t <= since);
             for &(t, v) in &points[idx..] {
                 out.push((key.to_owned(), t, v));
@@ -145,7 +206,7 @@ impl TimeSeriesStore {
     /// Drops samples older than `keep` before `now` (Graphite retention).
     pub fn prune(&mut self, now: SimTime, keep: SimDuration) {
         let cutoff = SimTime::from_nanos(now.as_nanos().saturating_sub(keep.as_nanos()));
-        for series in self.series.values_mut() {
+        for series in &mut self.series {
             series.points.retain(|(t, _)| *t >= cutoff);
         }
     }
@@ -233,6 +294,28 @@ mod tests {
             vec![("a".to_owned(), secs(2), 2.0), ("b".to_owned(), secs(3), 30.0)]
         );
         assert_eq!(store.keys(), vec!["a", "b"]);
+    }
+
+    #[test]
+    fn handles_match_paths_and_survive_prune() {
+        let mut store = TimeSeriesStore::new(SimDuration::from_secs(1));
+        assert_eq!(store.id("a"), None);
+        store.record("a", secs(1), 1.0);
+        let a = store.id("a").unwrap();
+        let b = store.id_or_insert("b");
+        assert_eq!(store.id("b"), Some(b));
+        assert_eq!(store.id_or_insert("a"), a, "existing series reuse their handle");
+        assert_eq!(store.latest_id(b), None, "a fresh series holds no point");
+        store.record_id(b, secs(2), 2.0);
+        store.record("a", secs(3), 3.0);
+        assert_eq!(store.latest_id(a), store.latest("a"));
+        assert_eq!(store.latest_id(b), store.latest("b"));
+        assert_eq!(store.latest_at_id(a, secs(2)), store.latest_at("a", secs(2)));
+        store.prune(secs(10), SimDuration::from_secs(1));
+        assert_eq!(store.latest_id(a), None);
+        store.record("a", secs(11), 11.0);
+        assert_eq!(store.latest_id(a), Some((secs(11), 11.0)), "handle outlives prune");
+        assert_eq!(store.series_count(), 2);
     }
 
     #[test]

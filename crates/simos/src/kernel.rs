@@ -1326,6 +1326,32 @@ impl Kernel {
         })
     }
 
+    /// The node a thread runs on: [`thread_info`](Kernel::thread_info)'s
+    /// `node` without copying the thread's name.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::UnknownThread`] for an unknown id.
+    pub fn thread_node(&self, tid: ThreadId) -> Result<NodeId, KernelError> {
+        self.threads
+            .get(tid.0 as usize)
+            .map(|t| t.node)
+            .ok_or(KernelError::UnknownThread(tid))
+    }
+
+    /// The cgroup enclosing a thread: [`thread_info`](Kernel::thread_info)'s
+    /// `cgroup` without copying the thread's name.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::UnknownThread`] for an unknown id.
+    pub fn thread_cgroup(&self, tid: ThreadId) -> Result<CgroupId, KernelError> {
+        self.threads
+            .get(tid.0 as usize)
+            .map(|t| t.cgroup)
+            .ok_or(KernelError::UnknownThread(tid))
+    }
+
     /// Ids of all threads ever spawned (including exited ones).
     pub fn thread_ids(&self) -> impl Iterator<Item = ThreadId> + '_ {
         self.threads.iter().map(|t| t.id)

@@ -17,7 +17,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use lachesis_metrics::{names, MetricName, TimeSeriesStore};
+use lachesis_metrics::{names, MetricName, SeriesId, TimeSeriesStore};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use simos::{Kernel, NodeId, SimDuration, ThreadId};
@@ -749,8 +749,9 @@ pub fn deploy(
     if let Some(store) = store {
         let shared_cb = Rc::clone(&shared);
         let period = config.report_period;
+        let mut handles = Vec::new();
         kernel.schedule_periodic(period, period, move |k| {
-            report_metrics(&shared_cb, &store, k);
+            report_metrics(&shared_cb, &store, &mut handles, k);
         });
     }
 
@@ -762,12 +763,38 @@ pub fn metric_path(kind: SpeKind, query: &str, op: PhysOpId, metric: MetricName)
     format!("{}.{}.{}.{}", kind.name(), query, op, metric)
 }
 
-fn report_metrics(shared: &Rc<QueryShared>, store: &Rc<RefCell<TimeSeriesStore>>, k: &Kernel) {
+/// Records `value` into the series of `slot`, resolving the slot from
+/// `path` on its first write. A slot is only resolved when it is written,
+/// so an unreported metric never leaves an empty series behind.
+fn record_into(
+    store: &mut TimeSeriesStore,
+    slot: &mut Option<SeriesId>,
+    path: impl FnOnce() -> String,
+    now: simos::SimTime,
+    value: f64,
+) {
+    let id = *slot.get_or_insert_with(|| store.id_or_insert(&path()));
+    store.record_id(id, now, value);
+}
+
+/// Writes one report of the query's metrics. `handles` caches the store
+/// handle of every series the reporter writes: per operator its exposed
+/// metrics, then health, then shed count; then one per sink.
+fn report_metrics(
+    shared: &Rc<QueryShared>,
+    store: &Rc<RefCell<TimeSeriesStore>>,
+    handles: &mut Vec<Option<SeriesId>>,
+    k: &Kernel,
+) {
     let now = k.now();
     let mut store = store.borrow_mut();
     let kind = shared.kind;
-    for (i, cell) in shared.cells.iter().enumerate() {
-        for &metric in kind.exposed_metrics() {
+    let per_op = kind.exposed_metrics().len() + 2;
+    handles.resize(shared.cells.len() * per_op + shared.sinks.len(), None);
+    let (op_handles, sink_handles) = handles.split_at_mut(shared.cells.len() * per_op);
+    for ((i, cell), slots) in shared.cells.iter().enumerate().zip(op_handles.chunks_mut(per_op)) {
+        let (metric_slots, extra) = slots.split_at_mut(per_op - 2);
+        for (&metric, slot) in kind.exposed_metrics().iter().zip(metric_slots) {
             // Ingress operators pull from the external Data Source (e.g. a
             // Kafka consumer); they have no SPE-visible input queue, so the
             // SPE reports zero for their queue metrics.
@@ -797,31 +824,37 @@ fn report_metrics(shared: &Rc<QueryShared>, store: &Rc<RefCell<TimeSeriesStore>>
                 None
             };
             if let Some(v) = value {
-                store.record(&metric_path(kind, &shared.name, i, metric), now, v);
+                record_into(&mut store, slot, || metric_path(kind, &shared.name, i, metric), now, v);
             }
         }
         // Operator health is the simulator's own observability signal
         // (every real SPE exposes liveness through its supervisor API),
         // so it is reported for every engine personality.
-        store.record(
-            &metric_path(kind, &shared.name, i, names::HEALTH),
+        record_into(
+            &mut store,
+            &mut extra[0],
+            || metric_path(kind, &shared.name, i, names::HEALTH),
             now,
             if cell.is_crashed() { 0.0 } else { 1.0 },
         );
         // Same for shed counts: overload protection is a runtime feature
         // of this simulator, visible regardless of SPE personality.
         if shared.overload.get() == OverloadMode::Shed {
-            store.record(
-                &metric_path(kind, &shared.name, i, names::SHED),
+            record_into(
+                &mut store,
+                &mut extra[1],
+                || metric_path(kind, &shared.name, i, names::SHED),
                 now,
                 cell.in_queue().shed() as f64,
             );
         }
     }
-    for (l, sink) in &shared.sinks {
+    for ((l, sink), slot) in shared.sinks.iter().zip(sink_handles) {
         if let Some(mean) = sink.borrow().latency().mean() {
-            store.record(
-                &format!("{}.{}.sink{}.{}", kind.name(), shared.name, l, names::LATENCY),
+            record_into(
+                &mut store,
+                slot,
+                || format!("{}.{}.sink{}.{}", kind.name(), shared.name, l, names::LATENCY),
                 now,
                 mean,
             );
