@@ -103,54 +103,58 @@ fn reject_unknown(experiments: &[String], extra: &[&str]) {
     }
 }
 
+/// A parsed command line.
+struct Args {
+    experiments: Vec<String>,
+    opts: ExpOptions,
+    trace_out: Option<PathBuf>,
+    trace_ring: Option<usize>,
+}
+
+/// Parses the command line, or `None` when it calls for the usage text
+/// (no experiment, an unknown flag, a missing or unparseable value).
+/// `--quick` implies one repetition only when `--reps` is absent, so the
+/// order of the two flags does not matter.
+fn parse(args: &[String]) -> Option<Args> {
+    let mut parsed = Args {
+        experiments: Vec::new(),
+        opts: ExpOptions::default(),
+        trace_out: None,
+        trace_ring: None,
+    };
+    let mut reps = None;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let opts = &mut parsed.opts;
+        match arg.as_str() {
+            "--quick" => opts.quick = true,
+            "--reps" => reps = Some(args.next()?.parse().ok()?),
+            "--out" => opts.out_dir = PathBuf::from(args.next()?),
+            "--jobs" => opts.jobs = args.next()?.parse().ok()?,
+            "--shard-threads" => opts.shard_threads = args.next()?.parse().ok()?,
+            "--trace" => parsed.trace_out = Some(PathBuf::from(args.next()?)),
+            "--trace-ring" => parsed.trace_ring = Some(args.next()?.parse().ok()?),
+            // Also `-h` / `--help`.
+            other if other.starts_with('-') => return None,
+            other => parsed.experiments.push(other.to_owned()),
+        }
+    }
+    let quick_default = if parsed.opts.quick { 1 } else { parsed.opts.reps };
+    parsed.opts.reps = reps.unwrap_or(quick_default);
+    (!parsed.experiments.is_empty()).then_some(parsed)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut experiments: Vec<String> = Vec::new();
-    let mut opts = ExpOptions::default();
-    let mut trace_out: Option<PathBuf> = None;
-    let mut trace_ring: Option<usize> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => {
-                opts.quick = true;
-                opts.reps = 1;
-            }
-            "--reps" => {
-                i += 1;
-                opts.reps = args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--out" => {
-                i += 1;
-                opts.out_dir = PathBuf::from(args.get(i).unwrap_or_else(|| usage()));
-            }
-            "--jobs" => {
-                i += 1;
-                opts.jobs = args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--shard-threads" => {
-                i += 1;
-                opts.shard_threads =
-                    args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--trace" => {
-                i += 1;
-                trace_out = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
-            }
-            "--trace-ring" => {
-                i += 1;
-                trace_ring =
-                    Some(args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()));
-            }
-            "-h" | "--help" => usage(),
-            other if other.starts_with('-') => usage(),
-            other => experiments.push(other.to_owned()),
-        }
-        i += 1;
-    }
-    if experiments.is_empty() {
-        usage();
-    }
+    let Some(Args {
+        mut experiments,
+        opts,
+        trace_out,
+        trace_ring,
+    }) = parse(&args)
+    else {
+        usage()
+    };
     if experiments.iter().any(|e| e == "all") {
         experiments = ALL.iter().map(|s| s.to_string()).collect();
     }
@@ -228,4 +232,35 @@ fn main() -> ExitCode {
         eprintln!("<< {id} done in {:.1?}", start.elapsed());
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Option<Args> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        parse(&args)
+    }
+
+    #[test]
+    fn quick_supplies_reps_only_when_reps_is_absent() {
+        let reps = |line: &str| parse_line(line).expect("valid command line").opts.reps;
+        assert_eq!(reps("fig1 --reps 5 --quick"), 5);
+        assert_eq!(reps("fig1 --quick --reps 5"), 5);
+        assert_eq!(reps("--quick fig1"), 1);
+        assert_eq!(reps("fig1"), ExpOptions::default().reps);
+        let args = parse_line("fig1 --quick --jobs 2 --out o --trace t.json fig5").unwrap();
+        assert!(args.opts.quick);
+        assert_eq!(args.experiments, ["fig1", "fig5"]);
+        assert_eq!((args.opts.jobs, args.opts.out_dir), (2, PathBuf::from("o")));
+        assert_eq!(args.trace_out, Some(PathBuf::from("t.json")));
+    }
+
+    #[test]
+    fn bad_command_lines_ask_for_usage() {
+        for line in ["", "--quick", "fig1 --reps", "fig1 --reps x", "fig1 --bogus", "fig1 -h"] {
+            assert!(parse_line(line).is_none(), "{line:?} parsed");
+        }
+    }
 }

@@ -448,14 +448,12 @@ mod tests {
         Some(out)
     }
 
-    /// `values` as a sorted list with NaN-comparable value bits.
+    /// `values` in key order with NaN-comparable value bits.
     fn bits(values: &EntityValues<OpRef>) -> Vec<(OpRef, u64, Option<SimTime>)> {
-        let mut out: Vec<_> = values
+        values
             .samples()
-            .map(|(&op, s)| (op, s.value.to_bits(), s.at))
-            .collect();
-        out.sort_unstable_by_key(|&(op, _, _)| op);
-        out
+            .map(|(op, s)| (op, s.value.to_bits(), s.at))
+            .collect()
     }
 
     /// A plan exercising every per-fetch fault: failures, a read cursor

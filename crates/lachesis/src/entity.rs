@@ -4,6 +4,7 @@
 
 use std::fmt;
 
+use lachesis_metrics::EntityKey;
 use spe::PhysOpId;
 
 /// A physical operator of one query managed by one SPE driver.
@@ -22,6 +23,16 @@ pub struct OpRef {
 impl OpRef {
     /// Creates a reference.
     pub fn new(query: usize, op: PhysOpId) -> Self {
+        OpRef { query, op }
+    }
+}
+
+/// Metric tables are laid out query by query, one column per operator.
+impl EntityKey for OpRef {
+    fn cell(self) -> (usize, usize) {
+        (self.query, self.op)
+    }
+    fn from_cell(query: usize, op: usize) -> Self {
         OpRef { query, op }
     }
 }

@@ -10,7 +10,7 @@ use std::collections::HashSet;
 use std::fmt;
 use std::rc::Rc;
 
-use lachesis_metrics::{ratio_metric, names, MetricError, MetricProvider, MetricSource};
+use lachesis_metrics::{ratio_metric, names, EntityValues, MetricError, MetricProvider};
 use simos::{CallbackId, Kernel, Nice, SimDuration, SimTime, TraceEvent, TraceTrack};
 
 use crate::admission::{AdmissionConfig, AdmissionController, SloClass};
@@ -121,6 +121,8 @@ pub struct Lachesis {
     watchdog: Option<StarvationWatchdog>,
     admission: Option<Rc<RefCell<AdmissionController>>>,
     log: Rc<RefCell<FaultLog>>,
+    /// Per driver, whether this wake's metric refresh failed.
+    refresh_failed: Vec<bool>,
 }
 
 impl fmt::Debug for Lachesis {
@@ -293,6 +295,7 @@ impl LachesisBuilder {
             }
         }
         Lachesis {
+            refresh_failed: vec![false; self.drivers.len()],
             drivers: self.drivers,
             provider,
             bindings: self.bindings,
@@ -304,6 +307,29 @@ impl LachesisBuilder {
             log: Rc::new(RefCell::new(FaultLog::new())),
         }
     }
+}
+
+/// Removes from `scope` every operator whose samples over all registered
+/// metrics are older than `max_age`, and returns how many it removed.
+/// Untimestamped samples count as fresh, and an operator with no samples
+/// at all is kept: policies already handle missing metrics.
+fn drop_stale(
+    provider: &MetricProvider<OpRef>,
+    driver_idx: usize,
+    scope: &mut Vec<OpRef>,
+    now: SimTime,
+    max_age: SimDuration,
+) -> usize {
+    let tables: Vec<&EntityValues<OpRef>> = provider
+        .registered()
+        .filter_map(|m| provider.get(driver_idx, m))
+        .collect();
+    let before = scope.len();
+    scope.retain(|op| {
+        let mut samples = tables.iter().filter_map(|t| t.sample(op)).peekable();
+        samples.peek().is_none() || samples.any(|s| !s.is_stale(now, max_age))
+    });
+    before - scope.len()
 }
 
 fn gcd(a: u64, b: u64) -> u64 {
@@ -370,20 +396,15 @@ impl Lachesis {
         // L4: refresh all metrics once per wake with due policies. A
         // failing source holds its previous values (aging toward the
         // staleness threshold) instead of poisoning the healthy ones.
-        let mut failed_sources: HashSet<usize> = HashSet::new();
         let mut persistent: Option<LachesisError> = None;
-        {
-            let sources: Vec<&dyn MetricSource<OpRef>> = self
-                .drivers
-                .iter()
-                .map(|d| d.as_ref() as &dyn MetricSource<OpRef>)
-                .collect();
-            for (i, e) in self.provider.update_reporting(now, &sources) {
+        for (i, driver) in self.drivers.iter().enumerate() {
+            let outcome = self.provider.update_source(now, i, driver.as_ref());
+            self.refresh_failed[i] = outcome.is_err();
+            if let Err(e) = outcome {
                 let e = LachesisError::from(e);
                 self.log
                     .borrow_mut()
                     .record_error(now, None, e.kind_label(), e.to_string());
-                failed_sources.insert(i);
                 if !e.is_transient() && persistent.is_none() {
                     persistent = Some(e);
                 }
@@ -428,7 +449,7 @@ impl Lachesis {
                 name: "round",
                 args: vec![("binding", idx as f64)],
             });
-            let outcome = self.run_binding(kernel, idx, now, &failed_sources);
+            let outcome = self.run_binding(kernel, idx, now);
             let ok = outcome.is_ok();
             self.settle_binding(kernel, idx, now, outcome, &mut persistent);
             Self::emit(kernel, || TraceEvent::SpanEnd {
@@ -482,27 +503,6 @@ impl Lachesis {
         }
     }
 
-    /// Whether every timestamped sample the provider holds for `op` is
-    /// older than the staleness threshold (untimestamped samples count as
-    /// fresh; an operator with no samples at all is kept — policies already
-    /// handle missing metrics).
-    fn op_is_stale(&self, driver_idx: usize, op: OpRef, now: SimTime, max_age: SimDuration) -> bool {
-        let mut saw_sample = false;
-        for metric in self.provider.registered() {
-            let Some(values) = self.provider.get(driver_idx, metric) else {
-                continue;
-            };
-            let Some(sample) = values.sample(&op) else {
-                continue;
-            };
-            saw_sample = true;
-            if !sample.is_stale(now, max_age) {
-                return false;
-            }
-        }
-        saw_sample
-    }
-
     /// One scheduling attempt for one due binding. `Ok(())` means a
     /// schedule was computed and applied from fresh metrics.
     fn run_binding(
@@ -510,10 +510,9 @@ impl Lachesis {
         kernel: &mut Kernel,
         idx: usize,
         now: SimTime,
-        failed_sources: &HashSet<usize>,
     ) -> Result<(), LachesisError> {
         let driver_idx = self.bindings[idx].driver_idx;
-        if failed_sources.contains(&driver_idx) {
+        if self.refresh_failed[driver_idx] {
             // This round's view of the driver is last period's data; count
             // the fetch failure against this binding and hold.
             return Err(LachesisError::Metric(MetricError::FetchFailed {
@@ -523,23 +522,18 @@ impl Lachesis {
             }));
         }
         let driver = Rc::clone(&self.drivers[driver_idx]);
-        let full_scope = Self::resolve_scope(driver.as_ref(), &self.bindings[idx].scope);
-        let max_age = self
-            .supervisor
-            .staleness_threshold(self.bindings[idx].policy.period());
-        let scope: Vec<OpRef> = full_scope
-            .iter()
-            .copied()
-            .filter(|&op| !self.op_is_stale(driver_idx, op, now, max_age))
-            .collect();
-        if full_scope.is_empty() {
+        let mut scope = Self::resolve_scope(driver.as_ref(), &self.bindings[idx].scope);
+        if scope.is_empty() {
             // Nothing in scope — the driver is fenced (or every query
             // departed). Not an error: hold `last_applied` untouched so
             // the unfence/heal path can restore it, and try again next
             // period.
             return Ok(());
         }
-        let excluded = full_scope.len() - scope.len();
+        let max_age = self
+            .supervisor
+            .staleness_threshold(self.bindings[idx].policy.period());
+        let excluded = drop_stale(&self.provider, driver_idx, &mut scope, now, max_age);
         if excluded > 0 {
             self.log.borrow_mut().note(
                 now,
@@ -909,11 +903,113 @@ impl Lachesis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lachesis_metrics::{MetricName, MetricSource};
+    use proptest::prelude::*;
 
     #[test]
     fn gcd_of_periods() {
         assert_eq!(gcd(50, 1000), 50);
         assert_eq!(gcd(0, 7), 7);
         assert_eq!(gcd(12, 18), 6);
+    }
+
+    /// The per-operator rule [`drop_stale`] replaced: walk the registered
+    /// metrics and look `op` up in each.
+    fn op_is_stale(
+        provider: &MetricProvider<OpRef>,
+        driver_idx: usize,
+        op: OpRef,
+        now: SimTime,
+        max_age: SimDuration,
+    ) -> bool {
+        let mut saw_sample = false;
+        for metric in provider.registered() {
+            let Some(values) = provider.get(driver_idx, metric) else {
+                continue;
+            };
+            let Some(sample) = values.sample(&op) else {
+                continue;
+            };
+            saw_sample = true;
+            if !sample.is_stale(now, max_age) {
+                return false;
+            }
+        }
+        saw_sample
+    }
+
+    /// Serves one fixed table per metric.
+    struct Tables(Vec<(MetricName, EntityValues<OpRef>)>);
+
+    impl MetricSource<OpRef> for Tables {
+        fn source_name(&self) -> &str {
+            "tables"
+        }
+        fn provides(&self, metric: MetricName) -> bool {
+            self.0.iter().any(|(m, _)| *m == metric)
+        }
+        fn fetch(&self, metric: MetricName) -> EntityValues<OpRef> {
+            self.0.iter().find(|(m, _)| *m == metric).unwrap().1.clone()
+        }
+    }
+
+    const METRICS: [MetricName; 3] = [names::QUEUE_SIZE, names::HEAD_WAIT, names::COST];
+    const QUERIES: usize = 3;
+    const OPS: usize = 6;
+
+    fn secs(s: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs(s)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over random tables (absent, untimestamped, fresh, boundary-age
+        /// and stale samples) for two or three registered metrics plus an
+        /// unregistered one, the pass keeps the same operators, in the
+        /// same order, and counts the same exclusions as the old rule.
+        #[test]
+        fn drop_stale_matches_per_operator_rule(
+            cells in collection::vec(0u8..5, METRICS.len() * QUERIES * OPS),
+            registered in 2usize..4,
+            in_scope in collection::vec(proptest::bool::ANY, QUERIES * OPS),
+            all_stale in proptest::bool::ANY,
+        ) {
+            let (now, max_age) = (secs(10), SimDuration::from_secs(3));
+            let ops = (0..QUERIES).flat_map(|q| (0..OPS).map(move |o| OpRef::new(q, o)));
+            let mut tables = Vec::new();
+            for (m, &metric) in METRICS.iter().enumerate() {
+                let mut values = EntityValues::new();
+                for (i, op) in ops.clone().enumerate() {
+                    let kind = if all_stale { 4 } else { cells[m * QUERIES * OPS + i] };
+                    match kind {
+                        1 => values.insert(op, 1.0),
+                        2 => values.insert_at(op, 1.0, secs(9)),
+                        3 => values.insert_at(op, 1.0, secs(7)),
+                        4 => values.insert_at(op, 1.0, secs(2)),
+                        _ => {}
+                    }
+                }
+                tables.push((metric, values));
+            }
+            let mut provider = MetricProvider::new();
+            for &metric in &METRICS[..registered] {
+                provider.register(metric);
+            }
+            provider.update(now, &[&Tables(tables)]).unwrap();
+            let scope: Vec<OpRef> = ops.zip(&in_scope).filter(|(_, &k)| k).map(|(op, _)| op).collect();
+            let expected: Vec<OpRef> = scope
+                .iter()
+                .copied()
+                .filter(|&op| !op_is_stale(&provider, 0, op, now, max_age))
+                .collect();
+            let mut kept = scope.clone();
+            let excluded = drop_stale(&provider, 0, &mut kept, now, max_age);
+            prop_assert_eq!(&kept, &expected);
+            prop_assert_eq!(excluded, scope.len() - expected.len());
+            if all_stale {
+                prop_assert!(kept.is_empty(), "an all-stale scope keeps nothing");
+            }
+        }
     }
 }

@@ -12,7 +12,8 @@ use crate::entity::OpRef;
 /// A single-priority schedule: every operator gets one real priority.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SinglePrioritySchedule {
-    priorities: BTreeMap<OpRef, f64>,
+    /// Sorted by operator, one entry per operator.
+    priorities: Vec<(OpRef, f64)>,
 }
 
 impl SinglePrioritySchedule {
@@ -23,17 +24,21 @@ impl SinglePrioritySchedule {
 
     /// Sets an operator's priority (higher = more CPU).
     pub fn set(&mut self, op: OpRef, priority: f64) {
-        self.priorities.insert(op, priority);
+        match self.priorities.binary_search_by_key(&op, |&(o, _)| o) {
+            Ok(i) => self.priorities[i].1 = priority,
+            Err(i) => self.priorities.insert(i, (op, priority)),
+        }
     }
 
     /// An operator's priority, if scheduled.
     pub fn get(&self, op: OpRef) -> Option<f64> {
-        self.priorities.get(&op).copied()
+        let i = self.priorities.binary_search_by_key(&op, |&(o, _)| o);
+        i.ok().map(|i| self.priorities[i].1)
     }
 
-    /// Iterates `(op, priority)` in deterministic order.
+    /// Iterates `(op, priority)` in operator order.
     pub fn iter(&self) -> impl Iterator<Item = (OpRef, f64)> + '_ {
-        self.priorities.iter().map(|(k, v)| (*k, *v))
+        self.priorities.iter().copied()
     }
 
     /// Number of scheduled operators.
@@ -48,15 +53,20 @@ impl SinglePrioritySchedule {
 
     /// All priority values, in entity order.
     pub fn values(&self) -> Vec<f64> {
-        self.priorities.values().copied().collect()
+        self.priorities.iter().map(|&(_, p)| p).collect()
     }
 }
 
+/// Later pairs overwrite earlier ones for the same operator.
 impl FromIterator<(OpRef, f64)> for SinglePrioritySchedule {
     fn from_iter<T: IntoIterator<Item = (OpRef, f64)>>(iter: T) -> Self {
-        SinglePrioritySchedule {
-            priorities: iter.into_iter().collect(),
-        }
+        let mut priorities: Vec<(OpRef, f64)> = iter.into_iter().collect();
+        // Newest first, then a stable sort: each operator's last write
+        // leads its run and survives the dedup.
+        priorities.reverse();
+        priorities.sort_by_key(|&(op, _)| op);
+        priorities.dedup_by_key(|&mut (op, _)| op);
+        SinglePrioritySchedule { priorities }
     }
 }
 

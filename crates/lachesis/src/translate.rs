@@ -193,11 +193,6 @@ impl CgroupTree {
         }
     }
 
-    /// Number of group cgroups created so far, over all nodes.
-    fn len(&self) -> usize {
-        self.groups.values().map(HashMap::len).sum()
-    }
-
     /// The cgroup of group `gid` on `node`, created (with `shares`, and
     /// the node's root first if needed) on first use.
     pub(crate) fn cgroup(
@@ -296,20 +291,14 @@ impl PerOperatorPlan {
 /// threads are moved into their group's cgroup and the group priority is
 /// normalized into a shares value. Single-priority schedules degrade to one
 /// group per operator (§6.4's 100-operator setup).
+#[derive(Debug)]
 pub struct CpuSharesTranslator {
     tree: CgroupTree,
     plan: PerOperatorPlan,
-    shares_range: (u64, u64),
 }
 
-impl fmt::Debug for CpuSharesTranslator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CpuSharesTranslator")
-            .field("groups", &self.tree.len())
-            .field("shares_range", &self.shares_range)
-            .finish_non_exhaustive()
-    }
-}
+/// The `cpu.shares` range priorities are normalized into.
+const SHARES_RANGE: (u64, u64) = (205, 2048);
 
 impl CpuSharesTranslator {
     /// Creates the translator; cgroups are created under each node's root
@@ -318,15 +307,7 @@ impl CpuSharesTranslator {
         CpuSharesTranslator {
             tree: CgroupTree::new(format!("lachesis-{label}")),
             plan: PerOperatorPlan::default(),
-            shares_range: (205, 2048),
         }
-    }
-
-    /// Overrides the shares normalization range.
-    pub fn with_shares_range(mut self, lo: u64, hi: u64) -> Self {
-        assert!(lo < hi, "invalid shares range");
-        self.shares_range = (lo, hi);
-        self
     }
 
     fn apply_grouped(
@@ -340,7 +321,7 @@ impl CpuSharesTranslator {
             return Ok(());
         }
         let priorities: Vec<f64> = g.iter().map(|(_, p, _)| p).collect();
-        let (lo, hi) = self.shares_range;
+        let (lo, hi) = SHARES_RANGE;
         let shares = to_shares(&priorities, kind, lo, hi);
         for ((gid, _, ops), share) in g.iter().zip(shares) {
             for &op in ops {
@@ -369,7 +350,7 @@ impl CpuSharesTranslator {
             return Ok(());
         }
         let priorities = self.plan.refresh(s);
-        let (lo, hi) = self.shares_range;
+        let (lo, hi) = SHARES_RANGE;
         let shares = to_shares(&priorities, kind, lo, hi);
         for (k, share) in shares.into_iter().enumerate() {
             let (tid, _, cg) = self.plan.place(&mut self.tree, kernel, driver, k, share)?;

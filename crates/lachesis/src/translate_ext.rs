@@ -5,8 +5,6 @@
 //! here with the same [`Translator`] interface so policies can drive them
 //! unchanged.
 
-use std::fmt;
-
 use simos::{CgroupId, Kernel, NodeId, SimDuration, ThreadId};
 
 use crate::driver::SpeDriver;
@@ -19,22 +17,16 @@ use crate::translate::{CgroupTree, PerOperatorPlan, TranslateError, Translator};
 /// enforcement period. Unlike `cpu.shares` (a *relative* weight), quotas
 /// are hard caps — useful for multi-tenant isolation where a query must
 /// not exceed its entitlement even when the machine is idle.
+#[derive(Debug)]
 pub struct CpuQuotaTranslator {
     tree: CgroupTree,
     plan: PerOperatorPlan,
-    period: SimDuration,
-    /// Fraction range the priorities are normalized into.
-    frac_range: (f64, f64),
 }
 
-impl fmt::Debug for CpuQuotaTranslator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CpuQuotaTranslator")
-            .field("period", &self.period)
-            .field("frac_range", &self.frac_range)
-            .finish_non_exhaustive()
-    }
-}
+/// The quota enforcement period.
+const QUOTA_PERIOD: SimDuration = SimDuration::from_millis(100);
+/// The machine-fraction range priorities are normalized into.
+const FRACTION_RANGE: (f64, f64) = (0.05, 1.0);
 
 impl CpuQuotaTranslator {
     /// Creates the translator with a 100 ms enforcement period and quota
@@ -43,31 +35,7 @@ impl CpuQuotaTranslator {
         CpuQuotaTranslator {
             tree: CgroupTree::new(format!("lachesis-quota-{label}")),
             plan: PerOperatorPlan::default(),
-            period: SimDuration::from_millis(100),
-            frac_range: (0.05, 1.0),
         }
-    }
-
-    /// Overrides the enforcement period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn with_period(mut self, period: SimDuration) -> Self {
-        assert!(!period.is_zero());
-        self.period = period;
-        self
-    }
-
-    /// Overrides the machine-fraction range.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < lo < hi <= 1`.
-    pub fn with_fraction_range(mut self, lo: f64, hi: f64) -> Self {
-        assert!(lo > 0.0 && lo < hi && hi <= 1.0);
-        self.frac_range = (lo, hi);
-        self
     }
 
     /// Caps `cg` at `frac` of `node`'s CPUs per period and moves `tid`
@@ -82,8 +50,8 @@ impl CpuQuotaTranslator {
     ) -> Result<(), TranslateError> {
         let cpus = kernel.node_stats(node)?.cpus as f64;
         let quota =
-            SimDuration::from_secs_f64(self.period.as_secs_f64() * cpus * frac.clamp(0.0, 1.0));
-        kernel.set_cpu_quota(cg, Some((quota, self.period)))?;
+            SimDuration::from_secs_f64(QUOTA_PERIOD.as_secs_f64() * cpus * frac.clamp(0.0, 1.0));
+        kernel.set_cpu_quota(cg, Some((quota, QUOTA_PERIOD)))?;
         kernel.move_to_cgroup(tid, cg)?;
         Ok(())
     }
@@ -101,7 +69,7 @@ impl Translator for CpuQuotaTranslator {
         schedule: &Schedule,
         _kind: PriorityKind,
     ) -> Result<(), TranslateError> {
-        let (lo, hi) = self.frac_range;
+        let (lo, hi) = FRACTION_RANGE;
         match schedule {
             Schedule::Grouped(g) => {
                 if g.is_empty() {

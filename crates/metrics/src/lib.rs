@@ -15,7 +15,7 @@
 //! ```
 //! use lachesis_metrics::{names, ratio_metric, MetricProvider};
 //!
-//! let mut provider: MetricProvider<u64> = MetricProvider::new();
+//! let mut provider: MetricProvider<u32> = MetricProvider::new();
 //! provider.define(ratio_metric(names::SELECTIVITY, names::TUPLES_OUT, names::TUPLES_IN));
 //! provider.register(names::SELECTIVITY);
 //! ```
@@ -29,6 +29,8 @@ mod provider;
 mod store;
 
 pub use fault::{FaultKind, FaultPlan, FaultRule, PointFault};
-pub use metric::{names, ratio_metric, DepValues, EntityValues, MetricDef, MetricName, Sample};
+pub use metric::{
+    names, ratio_metric, DepValues, EntityKey, EntityValues, MetricDef, MetricName, Sample,
+};
 pub use provider::{FetchError, MetricError, MetricProvider, MetricSource};
 pub use store::{SeriesId, TimeSeriesStore};

@@ -1,7 +1,7 @@
 //! Metric names, values and derived-metric definitions (paper Def. 3.1).
 
-use std::collections::HashMap;
 use std::fmt;
+use std::marker::PhantomData;
 use std::ops::Index;
 
 use simos::{SimDuration, SimTime};
@@ -95,33 +95,58 @@ impl Sample {
     }
 }
 
-/// Per-entity metric values at one scheduling period.
+/// A key of [`EntityValues`]: a `(row, column)` cell of a dense table.
 ///
-/// A thin wrapper over a hash map of [`Sample`]s that keeps the ergonomics
-/// of the plain `HashMap<K, f64>` it replaced: build it from `(K, f64)`
-/// pairs, read values with [`get`](EntityValues::get) or indexing, and
-/// reach for [`sample`](EntityValues::sample) / [`samples`](EntityValues::samples)
-/// only when timestamps matter.
-#[derive(Debug, Clone)]
-pub struct EntityValues<K> {
-    map: HashMap<K, Sample>,
+/// Entities are numbered densely per source (an operator is a query and an
+/// operator within it), so values live in rows of samples, not a hash map.
+/// `from_cell` inverts `cell`, and key order is row-major cell order.
+pub trait EntityKey: Copy + Ord {
+    /// The `(row, column)` the key is stored at.
+    fn cell(self) -> (usize, usize);
+    /// The key stored at `(row, column)`.
+    fn from_cell(row: usize, column: usize) -> Self;
 }
 
-impl<K: Eq + std::hash::Hash> PartialEq for EntityValues<K> {
+/// Plain integer keys are the columns of row 0.
+impl EntityKey for u32 {
+    fn cell(self) -> (usize, usize) {
+        (0, self as usize)
+    }
+    fn from_cell(_row: usize, column: usize) -> Self {
+        column as u32
+    }
+}
+
+/// Per-entity metric values at one scheduling period.
+///
+/// A dense table of [`Sample`]s indexed through [`EntityKey`] that keeps
+/// the ergonomics of the plain `HashMap<K, f64>` it replaced: build it from
+/// `(K, f64)` pairs, read values with [`get`](EntityValues::get) or
+/// indexing, and reach for [`sample`](EntityValues::sample) /
+/// [`samples`](EntityValues::samples) only when timestamps matter.
+/// Iteration yields entities in key order.
+#[derive(Debug, Clone)]
+pub struct EntityValues<K> {
+    rows: Vec<Vec<Option<Sample>>>,
+    key: PhantomData<K>,
+}
+
+impl<K: EntityKey> PartialEq for EntityValues<K> {
     fn eq(&self, other: &Self) -> bool {
-        self.map == other.map
+        self.samples().eq(other.samples())
     }
 }
 
 impl<K> Default for EntityValues<K> {
     fn default() -> Self {
         EntityValues {
-            map: HashMap::new(),
+            rows: Vec::new(),
+            key: PhantomData,
         }
     }
 }
 
-impl<K: Eq + std::hash::Hash> EntityValues<K> {
+impl<K: EntityKey> EntityValues<K> {
     /// Creates an empty value map.
     pub fn new() -> Self {
         Self::default()
@@ -129,84 +154,83 @@ impl<K: Eq + std::hash::Hash> EntityValues<K> {
 
     /// Inserts an untimestamped value.
     pub fn insert(&mut self, key: K, value: f64) {
-        self.map.insert(key, Sample::new(value));
+        self.insert_sample(key, Sample::new(value));
     }
 
     /// Inserts a value sampled at `at`.
     pub fn insert_at(&mut self, key: K, value: f64, at: SimTime) {
-        self.map.insert(key, Sample::taken_at(value, at));
+        self.insert_sample(key, Sample::taken_at(value, at));
     }
 
     /// Inserts a full sample.
     pub fn insert_sample(&mut self, key: K, sample: Sample) {
-        self.map.insert(key, sample);
+        let (row, column) = key.cell();
+        let rows = &mut self.rows;
+        rows.resize_with(rows.len().max(row + 1), Vec::new);
+        let cells = &mut rows[row];
+        cells.resize(cells.len().max(column + 1), None);
+        cells[column] = Some(sample);
     }
 
     /// One entity's value.
     pub fn get(&self, key: &K) -> Option<f64> {
-        self.map.get(key).map(|s| s.value)
+        self.sample(key).map(|s| s.value)
     }
 
     /// One entity's full sample (value + timestamp).
     pub fn sample(&self, key: &K) -> Option<Sample> {
-        self.map.get(key).copied()
+        let (row, column) = key.cell();
+        *self.rows.get(row)?.get(column)?
     }
 
     /// Whether the entity has a value.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.map.contains_key(key)
+        self.sample(key).is_some()
     }
 
     /// Number of entities with values.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.samples().count()
     }
 
     /// Whether no entity has a value.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.samples().next().is_none()
     }
 
-    /// Iterates `(entity, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, f64)> + '_ {
-        self.map.iter().map(|(k, s)| (k, s.value))
-    }
-
-    /// Iterates `(entity, sample)` pairs.
-    pub fn samples(&self) -> impl Iterator<Item = (&K, &Sample)> + '_ {
-        self.map.iter()
-    }
-
-    /// Iterates the entities.
-    pub fn keys(&self) -> impl Iterator<Item = &K> + '_ {
-        self.map.keys()
+    /// Iterates `(entity, sample)` pairs in key order.
+    pub fn samples(&self) -> impl Iterator<Item = (K, &Sample)> + '_ {
+        self.rows.iter().enumerate().flat_map(|(row, cells)| {
+            cells
+                .iter()
+                .enumerate()
+                .filter_map(move |(column, s)| Some((K::from_cell(row, column), s.as_ref()?)))
+        })
     }
 }
 
-impl<K: Eq + std::hash::Hash> Index<&K> for EntityValues<K> {
+impl<K: EntityKey> Index<&K> for EntityValues<K> {
     type Output = f64;
 
     fn index(&self, key: &K) -> &f64 {
-        &self.map[key].value
+        let (row, column) = key.cell();
+        &self.rows[row][column].as_ref().expect("entity has a value").value
     }
 }
 
-impl<K: Eq + std::hash::Hash> FromIterator<(K, f64)> for EntityValues<K> {
+impl<K: EntityKey> FromIterator<(K, f64)> for EntityValues<K> {
     fn from_iter<I: IntoIterator<Item = (K, f64)>>(iter: I) -> Self {
-        EntityValues {
-            map: iter
-                .into_iter()
-                .map(|(k, v)| (k, Sample::new(v)))
-                .collect(),
-        }
+        iter.into_iter().map(|(k, v)| (k, Sample::new(v))).collect()
     }
 }
 
-impl<K: Eq + std::hash::Hash> FromIterator<(K, Sample)> for EntityValues<K> {
+impl<K: EntityKey> FromIterator<(K, Sample)> for EntityValues<K> {
     fn from_iter<I: IntoIterator<Item = (K, Sample)>>(iter: I) -> Self {
-        EntityValues {
-            map: iter.into_iter().collect(),
+        let mut out = EntityValues::new();
+        for (k, s) in iter {
+            out.insert_sample(k, s);
         }
+        out
     }
 }
 
@@ -268,7 +292,7 @@ impl<K> MetricDef<K> {
 
 /// Convenience: builds a derived metric that divides dep 0 by dep 1
 /// entity-wise (e.g. selectivity = out/in, cost = cpu/in).
-pub fn ratio_metric<K: Clone + Eq + std::hash::Hash + 'static>(
+pub fn ratio_metric<K: EntityKey + 'static>(
     name: MetricName,
     numerator: MetricName,
     denominator: MetricName,
@@ -278,7 +302,7 @@ pub fn ratio_metric<K: Clone + Eq + std::hash::Hash + 'static>(
         let den = deps[1];
         num.samples()
             .filter_map(|(k, n)| {
-                let d = den.sample(k)?;
+                let d = den.sample(&k)?;
                 if d.value == 0.0 {
                     return None;
                 }
@@ -288,7 +312,7 @@ pub fn ratio_metric<K: Clone + Eq + std::hash::Hash + 'static>(
                     (a, b) => a.or(b),
                 };
                 Some((
-                    k.clone(),
+                    k,
                     Sample {
                         value: n.value / d.value,
                         at,

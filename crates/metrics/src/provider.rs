@@ -5,12 +5,12 @@
 //! provides it) or derived by recursively computing its dependency graph —
 //! so the same policy works on SPEs exposing different raw metrics (Fig. 4).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use simos::SimTime;
 
-use crate::metric::{DepValues, EntityValues, MetricDef, MetricName};
+use crate::metric::{DepValues, EntityKey, EntityValues, MetricDef, MetricName};
 
 /// Why a source could not serve a fetch (backend down, timeout, ...).
 ///
@@ -143,7 +143,15 @@ impl std::error::Error for MetricError {}
 pub struct MetricProvider<K> {
     defs: HashMap<MetricName, MetricDef<K>>,
     registered: BTreeSet<MetricName>,
-    values: Vec<HashMap<MetricName, EntityValues<K>>>,
+    /// Per source, the registered metrics and their dependencies.
+    values: Vec<Computed<K>>,
+}
+
+/// Metrics computed for one source: a short list, scanned by name.
+type Computed<K> = Vec<(MetricName, EntityValues<K>)>;
+
+fn find<K>(computed: &Computed<K>, metric: MetricName) -> Option<&EntityValues<K>> {
+    computed.iter().find(|(m, _)| *m == metric).map(|(_, v)| v)
 }
 
 impl<K> fmt::Debug for MetricProvider<K> {
@@ -155,13 +163,13 @@ impl<K> fmt::Debug for MetricProvider<K> {
     }
 }
 
-impl<K: Clone + Eq + std::hash::Hash> Default for MetricProvider<K> {
+impl<K: EntityKey> Default for MetricProvider<K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Clone + Eq + std::hash::Hash> MetricProvider<K> {
+impl<K: EntityKey> MetricProvider<K> {
     /// Creates an empty provider.
     pub fn new() -> Self {
         MetricProvider {
@@ -186,59 +194,53 @@ impl<K: Clone + Eq + std::hash::Hash> MetricProvider<K> {
         self.registered.iter().copied()
     }
 
-    /// Computes all registered metrics for all sources (Algorithm 3).
-    ///
-    /// One failing source does not poison the others: each healthy
-    /// source's values are committed, and a failing source *keeps its
-    /// previous values* (hold-last) so policies degrade gracefully instead
-    /// of losing the whole view.
+    /// Computes all registered metrics for all sources (Algorithm 3), one
+    /// [`update_source`](MetricProvider::update_source) per source.
     ///
     /// # Errors
     ///
-    /// Returns the first per-source error (all of them are reported by
-    /// [`update_reporting`](MetricProvider::update_reporting)): a required
-    /// primitive metric unavailable from a source, a derived metric with no
-    /// definition, a dependency cycle, or a failed fetch.
+    /// Returns the first per-source error; every source is still updated.
     pub fn update(
         &mut self,
         now: SimTime,
         sources: &[&dyn MetricSource<K>],
     ) -> Result<(), MetricError> {
-        match self.update_reporting(now, sources).into_iter().next() {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
+        let mut first = None;
+        for (i, source) in sources.iter().enumerate() {
+            if let Err(e) = self.update_source(now, i, *source) {
+                first.get_or_insert(e);
+            }
         }
+        first.map_or(Ok(()), Err)
     }
 
-    /// Like [`update`](MetricProvider::update), but reports *every* failing
-    /// source as `(source_index, error)` pairs (empty = all healthy).
-    pub fn update_reporting(
+    /// Computes all registered metrics for the source at index
+    /// `source_idx` (Algorithm 3).
+    ///
+    /// One failing source does not poison the others: a failing source
+    /// *keeps its previous values* (hold-last) so policies degrade
+    /// gracefully instead of losing the whole view.
+    ///
+    /// # Errors
+    ///
+    /// A required primitive metric unavailable from the source, a derived
+    /// metric with no definition, a dependency cycle, or a failed fetch.
+    pub fn update_source(
         &mut self,
         now: SimTime,
-        sources: &[&dyn MetricSource<K>],
-    ) -> Vec<(usize, MetricError)> {
-        let mut errors = Vec::new();
-        // Hold-last: pre-extend so a failing source keeps its old values.
-        while self.values.len() < sources.len() {
-            self.values.push(HashMap::new());
+        source_idx: usize,
+        source: &dyn MetricSource<K>,
+    ) -> Result<(), MetricError> {
+        let sources = self.values.len().max(source_idx + 1);
+        self.values.resize_with(sources, Vec::new);
+        // Per-driver cache, fresh each period (Algorithm 3, L4).
+        let mut cache = Vec::new();
+        let mut visiting = Vec::new();
+        for &metric in &self.registered {
+            self.compute(metric, now, source, &mut cache, &mut visiting)?;
         }
-        for (i, source) in sources.iter().enumerate() {
-            // Per-driver cache, fresh each period (Algorithm 3, L4).
-            let mut cache: HashMap<MetricName, EntityValues<K>> = HashMap::new();
-            let mut visiting: HashSet<MetricName> = HashSet::new();
-            let mut failed = None;
-            for &metric in &self.registered {
-                if let Err(e) = self.compute(metric, now, *source, &mut cache, &mut visiting) {
-                    failed = Some(e);
-                    break;
-                }
-            }
-            match failed {
-                Some(e) => errors.push((i, e)),
-                None => self.values[i] = cache,
-            }
-        }
-        errors
+        self.values[source_idx] = cache;
+        Ok(())
     }
 
     fn compute(
@@ -246,10 +248,10 @@ impl<K: Clone + Eq + std::hash::Hash> MetricProvider<K> {
         metric: MetricName,
         now: SimTime,
         source: &dyn MetricSource<K>,
-        cache: &mut HashMap<MetricName, EntityValues<K>>,
-        visiting: &mut HashSet<MetricName>,
+        cache: &mut Computed<K>,
+        visiting: &mut Vec<MetricName>,
     ) -> Result<(), MetricError> {
-        if cache.contains_key(&metric) {
+        if find(cache, metric).is_some() {
             return Ok(()); // L10-11
         }
         if source.provides(metric) {
@@ -261,7 +263,7 @@ impl<K: Clone + Eq + std::hash::Hash> MetricProvider<K> {
                         source: source.source_name().to_owned(),
                         reason: e.reason,
                     })?;
-            cache.insert(metric, values); // L12-13
+            cache.push((metric, values)); // L12-13
             return Ok(());
         }
         let Some(def) = self.defs.get(&metric) else {
@@ -274,28 +276,29 @@ impl<K: Clone + Eq + std::hash::Hash> MetricProvider<K> {
                 source: source.source_name().to_owned(),
             });
         }
-        if !visiting.insert(metric) {
+        if visiting.contains(&metric) {
             return Err(MetricError::DependencyCycle(metric));
         }
+        visiting.push(metric);
         for &dep in def.deps() {
             self.compute(dep, now, source, cache, visiting)?; // L16
         }
-        visiting.remove(&metric);
+        visiting.pop();
         let dep_refs: Vec<&EntityValues<K>> = def
             .deps()
             .iter()
-            .map(|d| cache.get(d).expect("dependency just computed"))
+            .map(|&d| find(cache, d).expect("dependency just computed"))
             .collect();
         let deps: &DepValues<'_, K> = dep_refs.as_slice();
         let value = def.combine(deps);
-        cache.insert(metric, value); // L17-18
+        cache.push((metric, value)); // L17-18
         Ok(())
     }
 
     /// The computed values of `metric` for source index `source_idx`, as of
     /// the last [`update`](MetricProvider::update).
     pub fn get(&self, source_idx: usize, metric: MetricName) -> Option<&EntityValues<K>> {
-        self.values.get(source_idx)?.get(&metric)
+        find(self.values.get(source_idx)?, metric)
     }
 }
 
@@ -471,10 +474,12 @@ mod tests {
         let mut p: MetricProvider<u32> = MetricProvider::new();
         p.register(names::SELECTIVITY);
         let flaky = Flaky(std::cell::Cell::new(true));
-        let errors = p.update_reporting(SimTime::ZERO, &[&flaky, &SpeA]);
-        assert_eq!(errors.len(), 1);
-        assert_eq!(errors[0].0, 0, "only the flaky source errors");
-        assert!(errors[0].1.is_transient());
+        let err = p.update(SimTime::ZERO, &[&flaky, &SpeA]).unwrap_err();
+        assert!(err.is_transient());
+        assert!(
+            matches!(&err, MetricError::FetchFailed { source, .. } if source == "flaky"),
+            "only the flaky source errors"
+        );
         assert_eq!(
             p.get(1, names::SELECTIVITY).unwrap()[&1],
             2.0,
